@@ -5,7 +5,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use netsim::{
-    Agent, Api, Dequeue, DropTail, Drr, FlowId, Limit, Network, NodeId, Packet, Qdisc, Red,
+    Agent, Api, Dequeue, DropTail, Drr, Event, FlowId, Limit, Network, NodeId, Packet, Qdisc, Red,
     RedMode, RedParams, Sim, StrictPrio, TokenBucket, TrafficClass, VirtualQueue,
 };
 use simcore::{EventQueue, HeapEventQueue, SimDuration, SimRng, SimTime};
@@ -86,6 +86,68 @@ fn bench_event_queue(c: &mut Criterion) {
             black_box(acc)
         })
     });
+    g.finish();
+}
+
+/// The delay mix the Fig 2 grid schedules: ⅓ transmission completions
+/// (100 µs), ⅓ propagation deliveries (20 ms) and ⅓ inter-packet gaps
+/// (3.9 ms), of which 1 in 128 is a 0.5 s off-period.
+fn fig2_delays() -> Vec<SimDuration> {
+    let mut rng = SimRng::new(7);
+    (0..4096)
+        .map(|_| {
+            let x = rng.next_u64();
+            SimDuration::from_micros(match x % 3 {
+                0 => 100,
+                1 => 20_000,
+                _ if (x >> 8).is_multiple_of(128) => 500_000,
+                _ => 3_900,
+            })
+        })
+        .collect()
+}
+
+/// Hold model at the pending depths the simulator runs at (mean 120 on the
+/// Fig 2 grid, ~450 on the multi-hop topology) with the real 64-byte
+/// `netsim::Event` and the Fig 2 delay mix. Unlike the `u64` cases above,
+/// the 20 ms and 0.5 s delays cross the calendar's ~67 ms near window, so
+/// these exercise the window slide and the far heap.
+fn bench_event_queue_fig2_mix(c: &mut Criterion) {
+    let delays = fig2_delays();
+    let deliver = |i: usize| Event::Deliver {
+        node: NodeId(1),
+        packet: pkt(i as u64, TrafficClass::Data),
+    };
+    let mut g = c.benchmark_group("event-queue fig2 mix");
+    g.throughput(Throughput::Elements(10_000));
+    for depth in [120usize, 450] {
+        g.bench_function(&format!("calendar hold-model depth {depth}"), |b| {
+            b.iter(|| {
+                let mut q: EventQueue<Event> = EventQueue::new();
+                for (i, &d) in delays[..depth].iter().enumerate() {
+                    q.schedule_in(d, deliver(i));
+                }
+                for i in 0..10_000 {
+                    let (_, e) = q.pop().unwrap();
+                    q.schedule_in(delays[(depth + i) % delays.len()], black_box(e));
+                }
+                black_box(q.len())
+            })
+        });
+        g.bench_function(&format!("heap hold-model depth {depth}"), |b| {
+            b.iter(|| {
+                let mut q: HeapEventQueue<Event> = HeapEventQueue::new();
+                for (i, &d) in delays[..depth].iter().enumerate() {
+                    q.schedule_in(d, deliver(i));
+                }
+                for i in 0..10_000 {
+                    let (_, e) = q.pop().unwrap();
+                    q.schedule_in(delays[(depth + i) % delays.len()], black_box(e));
+                }
+                black_box(q.len())
+            })
+        });
+    }
     g.finish();
 }
 
@@ -258,6 +320,7 @@ fn bench_end_to_end(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_event_queue,
+    bench_event_queue_fig2_mix,
     bench_qdiscs,
     bench_components,
     bench_end_to_end

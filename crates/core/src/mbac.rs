@@ -15,8 +15,7 @@
 //! serialisation for free.
 
 use netsim::{Link, LinkId, TrafficClass};
-use simcore::{SimDuration, SimTime};
-use std::collections::HashMap;
+use simcore::{IdMap, SimDuration, SimTime};
 
 /// Per-link Measured Sum state.
 #[derive(Clone, Debug)]
@@ -97,7 +96,7 @@ impl MeasuredSum {
 /// The registry shared through the network blackboard: one estimator per
 /// metered link plus the global utilization target η.
 pub struct MbacRegistry {
-    links: HashMap<LinkId, MeasuredSum>,
+    links: IdMap<LinkId, MeasuredSum>,
     /// Utilization target η (the knob swept to trace the MBAC loss-load
     /// curve).
     pub eta: f64,
@@ -108,7 +107,7 @@ impl MbacRegistry {
     pub fn new(eta: f64) -> Self {
         assert!(eta > 0.0);
         MbacRegistry {
-            links: HashMap::new(),
+            links: IdMap::default(),
             eta,
         }
     }

@@ -6,22 +6,35 @@
 //! the order they were scheduled (FIFO), which keeps simulations
 //! deterministic and makes "schedule B right after A" reasoning valid.
 //!
-//! - [`EventQueue`] — the production calendar: a non-sliding calendar
-//!   queue (bucketed timer wheel) with a far-future overflow heap. The
-//!   near window covers [`NUM_BUCKETS`] buckets of `2^`[`WIDTH_BITS`] ns
-//!   each (~67 ms), which is wide enough that the packet-level hot path
-//!   (transmission completions, 20 ms propagation deliveries, dequeue
-//!   wake-ups) lands in O(1) buckets; only long-lived protocol timers
-//!   (flow arrivals, lifetimes, probe deadlines) pay the overflow heap.
-//!   Bucket storage and the active-bucket heap retain their capacity
-//!   across a run, so steady-state scheduling allocates nothing.
+//! - [`EventQueue`] — the production calendar: a slab-backed calendar
+//!   queue whose near window slides with the activation cursor. Each
+//!   event is written once into a slab slot and stays there until it
+//!   pops; only a 24-byte `(at, seq, slot)` key moves between the
+//!   structures. The near window is a ring of [`NUM_BUCKETS`] buckets of
+//!   `2^`[`WIDTH_BITS`] ns (~67 ms); each bucket is an intrusive list
+//!   threaded through the slab (one `u32` head per bucket), and an
+//!   occupancy bitmap finds the next non-empty one. Activating a bucket
+//!   moves its keys into a small `current` heap and slides the window
+//!   one bucket past it, migrating keys from the far-future heap as they
+//!   come within ~67 ms. Freed slots go on a free list, so steady state
+//!   allocates nothing and the slab never outgrows the peak pending count.
 //! - [`HeapEventQueue`] — the original binary-heap calendar, kept as the
 //!   reference implementation for differential property tests and the
 //!   engine benchmarks.
 //!
+//! The calendar was sized on the simulator's own traffic: pending depth
+//! averages 119 events (max 348) on the Fig 2 single-link grid and 454
+//! (max 717) on the Tables 5/6 multi-hop topology; schedule delays cluster
+//! at 0, ~100 µs (transmission), 3.9 ms and 20 ms (propagation) with
+//! protocol timers at 0.5–300 s. A fixed (non-sliding) window sent 12 %
+//! of all schedules to the far heap, because a 20 ms delivery scheduled
+//! late in the window spilled past its end. A slab-backed plain binary
+//! heap was no faster than the bucketed calendar, so the buckets stay.
+//!
 //! Because `(time, seq)` is a total order, both implementations produce
 //! bit-identical pop sequences; `tests/props.rs` checks them against each
-//! other on random schedules (including same-instant ties).
+//! other on random schedules (including same-instant ties and a window
+//! that wraps many times).
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
@@ -29,9 +42,12 @@ use std::collections::BinaryHeap;
 
 /// log2 of the calendar bucket width in nanoseconds (2^15 ns ≈ 32.8 µs).
 pub const WIDTH_BITS: u32 = 15;
-/// Number of buckets in the near window (must be a multiple of 64).
+/// Number of buckets in the near window (a power of two, multiple of 64).
 pub const NUM_BUCKETS: usize = 2048;
 const OCC_WORDS: usize = NUM_BUCKETS / 64;
+const RING_MASK: usize = NUM_BUCKETS - 1;
+/// End-of-list marker for bucket lists and the slab free list.
+const NIL: u32 = u32::MAX;
 
 /// A scheduling-into-the-past violation recorded in lenient mode.
 ///
@@ -59,24 +75,31 @@ pub struct QueueSnapshot {
     pub pending: usize,
 }
 
-struct Entry<E> {
+/// A value keyed on `(at, seq)`, ordered earliest first. The calendar's
+/// heaps hold `Entry<u32>` keys whose value is a slab slot (24 bytes);
+/// the reference heap holds whole events.
+struct Entry<T> {
     at: SimTime,
     seq: u64,
-    event: E,
+    val: T,
 }
 
-impl<E> PartialEq for Entry<E> {
+/// What moves through the calendar's heaps: an event's `(time, seq)`
+/// position plus the slab slot holding the event itself.
+type Key = Entry<u32>;
+
+impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
+impl<T> Eq for Entry<T> {}
+impl<T> PartialOrd for Entry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for Entry<E> {
+impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse ordering: BinaryHeap is a max-heap, we want earliest first.
         other
@@ -84,6 +107,17 @@ impl<E> Ord for Entry<E> {
             .cmp(&self.at)
             .then_with(|| other.seq.cmp(&self.seq))
     }
+}
+
+/// Per-slot bookkeeping beside the slab: the event's `(at, seq)`, read when
+/// its bucket is activated, and the intrusive link — the next slot of the
+/// same bucket while the event sits in the ring, the next free slot while
+/// the slot is free.
+#[derive(Clone, Copy)]
+struct Link {
+    at: SimTime,
+    seq: u64,
+    next: u32,
 }
 
 /// A discrete-event calendar holding events of type `E`.
@@ -95,25 +129,30 @@ impl<E> Ord for Entry<E> {
 /// offending event is dropped and the violation is recorded for the run
 /// driver to turn into a graceful error.
 pub struct EventQueue<E> {
-    /// Near-window buckets; bucket `i` holds entries with
-    /// `at >> WIDTH_BITS == base + i`, unsorted. Vecs keep their capacity
-    /// when drained (a free-list in place), so steady state allocates
-    /// nothing.
-    buckets: Vec<Vec<Entry<E>>>,
-    /// One bit per bucket: set iff the bucket is non-empty.
+    /// The slab: every pending event, stored once until it pops. `None`
+    /// marks a free slot.
+    events: Vec<Option<E>>,
+    /// Bookkeeping for each slab slot (same index as `events`).
+    links: Vec<Link>,
+    /// Head of the free-slot list threaded through `links`.
+    free: u32,
+    /// Ring of near-window buckets: `heads[abs & RING_MASK]` starts the
+    /// unsorted list of slots with bucket index `abs` (`at >> WIDTH_BITS`)
+    /// for `abs` in `cursor..cursor + NUM_BUCKETS`.
+    heads: Box<[u32]>,
+    /// One bit per ring position: set iff that bucket is non-empty.
     occ: [u64; OCC_WORDS],
-    /// Entries in the near window, excluding `current`.
+    /// Keys in the ring.
     near_count: usize,
-    /// Absolute bucket index (time >> WIDTH_BITS) of `buckets[0]`.
-    base: u64,
-    /// Bucket offsets `< cursor` have been activated (drained into
-    /// `current`); insertions targeting them go straight to `current`.
-    cursor: usize,
-    /// The active min-heap: every pending entry at or before the activated
-    /// boundary. Always pops before any bucket or overflow entry.
-    current: BinaryHeap<Entry<E>>,
-    /// Entries beyond the near window, migrated in when the window rebases.
-    far: BinaryHeap<Entry<E>>,
+    /// Absolute index of the first bucket not yet activated. Keys below
+    /// it live in `current`; the ring covers the next `NUM_BUCKETS`.
+    cursor: u64,
+    /// The active min-heap: every pending key before the cursor. Always
+    /// pops before any ring or far key.
+    current: BinaryHeap<Key>,
+    /// Keys at or beyond `cursor + NUM_BUCKETS`, migrated into the ring as
+    /// the cursor slides within reach of them.
+    far: BinaryHeap<Key>,
     now: SimTime,
     seq: u64,
     popped: u64,
@@ -131,10 +170,12 @@ impl<E> EventQueue<E> {
     /// An empty calendar with the clock at zero.
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            events: Vec::new(),
+            links: Vec::new(),
+            free: NIL,
+            heads: vec![NIL; NUM_BUCKETS].into_boxed_slice(),
             occ: [0; OCC_WORDS],
             near_count: 0,
-            base: 0,
             cursor: 0,
             current: BinaryHeap::new(),
             far: BinaryHeap::new(),
@@ -209,7 +250,18 @@ impl<E> EventQueue<E> {
         }
         let seq = self.seq;
         self.seq += 1;
-        self.push_entry(Entry { at, seq, event });
+        let slot = self.alloc(at, seq, event);
+        let abs = at.as_nanos() >> WIDTH_BITS;
+        if abs < self.cursor {
+            // Behind the activated boundary: the heap keeps exact
+            // (time, seq) order, so late arrivals into the active region
+            // still pop in their correct place.
+            self.current.push(Key { at, seq, val: slot });
+        } else if abs - self.cursor < NUM_BUCKETS as u64 {
+            self.link_into_ring(abs, slot);
+        } else {
+            self.far.push(Key { at, seq, val: slot });
+        }
     }
 
     /// Schedule `event` to fire `delay` after the current clock.
@@ -224,103 +276,141 @@ impl<E> EventQueue<E> {
     /// (the work is shared with the following [`pop`](EventQueue::pop)).
     #[inline]
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.ensure_current();
-        self.current.peek().map(|e| e.at)
+        if self.current.is_empty() {
+            self.activate_next();
+        }
+        self.current.peek().map(|k| k.at)
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.ensure_current();
-        let entry = self.current.pop()?;
-        debug_assert!(entry.at >= self.now, "event queue time went backwards");
-        self.now = entry.at;
+        if self.current.is_empty() {
+            self.activate_next();
+        }
+        let key = self.current.pop()?;
+        debug_assert!(key.at >= self.now, "event queue time went backwards");
+        self.now = key.at;
         self.popped += 1;
-        Some((entry.at, entry.event))
+        let slot = key.val as usize;
+        let event = self.events[slot]
+            .take()
+            .expect("a pending key owns its slot");
+        self.links[slot].next = self.free;
+        self.free = key.val;
+        Some((key.at, event))
     }
 
     /// Drop every pending event (the clock is left where it is).
     pub fn clear(&mut self) {
-        for w in 0..OCC_WORDS {
-            let mut bits = self.occ[w];
-            while bits != 0 {
-                let b = w * 64 + bits.trailing_zeros() as usize;
-                self.buckets[b].clear();
-                bits &= bits - 1;
-            }
-            self.occ[w] = 0;
-        }
+        self.events.clear();
+        self.links.clear();
+        self.free = NIL;
+        self.heads.fill(NIL);
+        self.occ = [0; OCC_WORDS];
         self.near_count = 0;
         self.current.clear();
         self.far.clear();
     }
 
+    /// Store `event` in a free slab slot (growing the slab only when none
+    /// is free) and return the slot.
     #[inline]
-    fn push_entry(&mut self, entry: Entry<E>) {
-        let abs = entry.at.as_nanos() >> WIDTH_BITS;
-        if abs < self.base + self.cursor as u64 {
-            // At or behind the activated boundary: the heap keeps exact
-            // (time, seq) order, so late arrivals into the active region
-            // still pop in their correct place.
-            self.current.push(entry);
-        } else if abs - self.base < NUM_BUCKETS as u64 {
-            let off = (abs - self.base) as usize;
-            if self.buckets[off].is_empty() {
-                self.occ[off / 64] |= 1u64 << (off % 64);
-            }
-            self.buckets[off].push(entry);
-            self.near_count += 1;
+    fn alloc(&mut self, at: SimTime, seq: u64, event: E) -> u32 {
+        let slot = self.free;
+        if slot != NIL {
+            let link = &mut self.links[slot as usize];
+            self.free = link.next;
+            *link = Link { at, seq, next: NIL };
+            self.events[slot as usize] = Some(event);
+            slot
         } else {
-            self.far.push(entry);
+            let slot = u32::try_from(self.events.len())
+                .ok()
+                .filter(|&s| s != NIL)
+                .expect("too many pending events for a u32 slot index");
+            self.links.push(Link { at, seq, next: NIL });
+            self.events.push(Some(event));
+            slot
         }
     }
 
-    /// Make `current` hold the globally earliest pending entries (or be
-    /// empty if the whole calendar is). Activates buckets left to right;
-    /// when the near window drains, rebases it onto the earliest overflow
-    /// entry and migrates overflow entries that now fit.
-    fn ensure_current(&mut self) {
-        while self.current.is_empty() {
-            if self.near_count > 0 {
-                let off = self.next_occupied(self.cursor).expect("near_count > 0");
-                self.occ[off / 64] &= !(1u64 << (off % 64));
-                self.near_count -= self.buckets[off].len();
-                self.current.extend(self.buckets[off].drain(..));
-                self.cursor = off + 1;
-            } else if let Some(e) = self.far.peek() {
-                self.base = e.at.as_nanos() >> WIDTH_BITS;
-                self.cursor = 0;
-                let end_abs = self.base + NUM_BUCKETS as u64;
-                while let Some(e) = self.far.peek() {
-                    if e.at.as_nanos() >> WIDTH_BITS >= end_abs {
-                        break;
-                    }
-                    let entry = self.far.pop().expect("peeked");
-                    self.push_entry(entry);
-                }
-            } else {
-                return; // truly empty
-            }
-        }
-    }
-
-    /// First occupied bucket at or after `from`, via the occupancy bitmap.
+    /// Push `slot` onto the list of ring bucket `abs` (which must lie in
+    /// the near window).
     #[inline]
-    fn next_occupied(&self, from: usize) -> Option<usize> {
-        if from >= NUM_BUCKETS {
-            return None;
+    fn link_into_ring(&mut self, abs: u64, slot: u32) {
+        let pos = abs as usize & RING_MASK;
+        self.links[slot as usize].next = self.heads[pos];
+        self.heads[pos] = slot;
+        self.occ[pos / 64] |= 1u64 << (pos % 64);
+        self.near_count += 1;
+    }
+
+    /// Refill the empty `current` heap with the globally earliest pending
+    /// keys (or leave it empty if the whole calendar is): activate the
+    /// next non-empty ring bucket, first jumping the cursor to the
+    /// earliest far key when the ring is empty, then slide the window
+    /// past the activated bucket.
+    fn activate_next(&mut self) {
+        if self.near_count == 0 {
+            let Some(first) = self.far.peek() else {
+                return; // truly empty
+            };
+            self.cursor = first.at.as_nanos() >> WIDTH_BITS;
+            self.migrate_far();
         }
-        let mut w = from / 64;
-        let mut bits = self.occ[w] & (!0u64 << (from % 64));
-        loop {
+        let start = self.cursor as usize & RING_MASK;
+        let pos = self.next_occupied(start);
+        self.occ[pos / 64] &= !(1u64 << (pos % 64));
+        // `current` is empty: refill its buffer and heapify once, which
+        // beats a sift-up per key when a bucket holds many events.
+        let mut keys = std::mem::take(&mut self.current).into_vec();
+        let mut slot = std::mem::replace(&mut self.heads[pos], NIL);
+        while slot != NIL {
+            let link = self.links[slot as usize];
+            keys.push(Key {
+                at: link.at,
+                seq: link.seq,
+                val: slot,
+            });
+            slot = link.next;
+        }
+        self.near_count -= keys.len();
+        self.current = BinaryHeap::from(keys);
+        self.cursor += (pos.wrapping_sub(start) & RING_MASK) as u64 + 1;
+        self.migrate_far();
+    }
+
+    /// Move far keys that the (just slid) window now reaches into the ring.
+    #[inline]
+    fn migrate_far(&mut self) {
+        let end = self.cursor + NUM_BUCKETS as u64;
+        while let Some(first) = self.far.peek() {
+            let abs = first.at.as_nanos() >> WIDTH_BITS;
+            if abs >= end {
+                break;
+            }
+            let slot = first.val;
+            self.far.pop();
+            self.link_into_ring(abs, slot);
+        }
+    }
+
+    /// First occupied ring position at or after `start`, wrapping around
+    /// the ring (so in window order). Only called with the ring non-empty.
+    #[inline]
+    fn next_occupied(&self, start: usize) -> usize {
+        let mut w = start / 64;
+        let mut bits = self.occ[w] & (!0u64 << (start % 64));
+        // The start word twice: its high bits first, its low bits (the
+        // far end of the window) after a full turn.
+        for _ in 0..=OCC_WORDS {
             if bits != 0 {
-                return Some(w * 64 + bits.trailing_zeros() as usize);
+                return w * 64 + bits.trailing_zeros() as usize;
             }
-            w += 1;
-            if w >= OCC_WORDS {
-                return None;
-            }
+            w = (w + 1) % OCC_WORDS;
             bits = self.occ[w];
         }
+        unreachable!("near_count > 0 but the occupancy bitmap is empty")
     }
 }
 
@@ -395,7 +485,11 @@ impl<E> HeapEventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Entry { at, seq, event });
+        self.heap.push(Entry {
+            at,
+            seq,
+            val: event,
+        });
     }
 
     /// Schedule `event` to fire `delay` after the current clock.
@@ -416,7 +510,7 @@ impl<E> HeapEventQueue<E> {
         debug_assert!(entry.at >= self.now, "event queue time went backwards");
         self.now = entry.at;
         self.popped += 1;
-        Some((entry.at, entry.event))
+        Some((entry.at, entry.val))
     }
 
     /// Drop every pending event (the clock is left where it is).
@@ -492,6 +586,106 @@ mod tests {
         assert_eq!(v.now, SimTime::from_secs(2));
         assert!(q.take_violation().is_none(), "violation is taken once");
         assert!(q.is_empty(), "offending event was dropped");
+    }
+
+    #[test]
+    fn lenient_past_schedule_takes_no_slab_slot() {
+        let mut q = EventQueue::new();
+        q.set_lenient(true);
+        q.schedule_at(SimTime::from_secs(2), 1u32);
+        q.pop();
+        assert_eq!((q.events.len(), q.free), (1, 0), "one slot, now free");
+        q.schedule_at(SimTime::from_secs(1), 2u32);
+        assert!(q.take_violation().is_some());
+        assert_eq!(
+            (q.events.len(), q.free),
+            (1, 0),
+            "the dropped event took no slot"
+        );
+        q.schedule_at(SimTime::from_secs(3), 3u32);
+        assert_eq!(
+            (q.events.len(), q.free),
+            (1, NIL),
+            "the free slot is reused"
+        );
+        assert_eq!(q.pop(), Some((SimTime::from_secs(3), 3)));
+    }
+
+    /// The measured delay classes of the packet hot path and its timers:
+    /// same instant, transmission, short and long propagation, the window
+    /// edge ± one bucket, and protocol timers of 0.5–300 s.
+    fn hot_path_delay(x: u64) -> SimDuration {
+        const EDGE: u64 = (NUM_BUCKETS as u64) << WIDTH_BITS;
+        const BUCKET: u64 = 1 << WIDTH_BITS;
+        let ns = match (x >> 32) % 8 {
+            0 => 0,
+            1 => 100_000,
+            2 => 3_900_000,
+            3 | 4 => 20_000_000,
+            5 => EDGE - BUCKET + (x & 0xff),
+            6 => EDGE + BUCKET - (x & 0xff),
+            _ => 500_000_000 + (x & 0xffff_ffff) % 299_500_000_000,
+        };
+        SimDuration::from_nanos(ns)
+    }
+
+    fn lcg(x: &mut u64) -> u64 {
+        *x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *x
+    }
+
+    #[test]
+    fn slab_never_outgrows_peak_pending_under_hold_model() {
+        for depth in [1usize, 7, 120, 450] {
+            let mut q = EventQueue::new();
+            let mut x = depth as u64;
+            for i in 0..depth {
+                q.schedule_in(hot_path_delay(lcg(&mut x)), i);
+            }
+            for _ in 0..20_000 {
+                let (_, e) = q.pop().expect("hold model stays non-empty");
+                q.schedule_in(hot_path_delay(lcg(&mut x)), e);
+                assert_eq!(q.events.len(), depth, "slab grew past depth {depth}");
+            }
+            assert_eq!(q.len(), depth);
+        }
+    }
+
+    #[test]
+    fn slab_size_equals_peak_pending_under_bursts() {
+        let mut q = EventQueue::new();
+        let mut x = 42u64;
+        let (mut pending, mut peak) = (0usize, 0usize);
+        for round in 0..200u64 {
+            for _ in 0..lcg(&mut x) % 64 {
+                q.schedule_in(hot_path_delay(lcg(&mut x)), round);
+                pending += 1;
+                peak = peak.max(pending);
+            }
+            for _ in 0..lcg(&mut x) % 64 {
+                if q.pop().is_some() {
+                    pending -= 1;
+                }
+            }
+            assert_eq!(q.len(), pending);
+            assert_eq!(q.events.len(), peak);
+        }
+    }
+
+    #[test]
+    fn clear_releases_the_slab_and_keeps_the_clock() {
+        let mut q = EventQueue::new();
+        for i in 0..10u64 {
+            q.schedule_in(SimDuration::from_millis(i * 30), i);
+        }
+        q.pop();
+        q.clear();
+        assert!(q.is_empty() && q.events.is_empty() && q.free == NIL);
+        assert_eq!(q.pop(), None);
+        q.schedule_in(SimDuration::from_secs(1), 99);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1), 99)));
     }
 
     #[test]

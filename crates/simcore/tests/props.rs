@@ -1,9 +1,44 @@
 //! Property-based tests of the simulation engine's core invariants.
 
 use proptest::prelude::*;
-use simcore::queue::HeapEventQueue;
+use simcore::queue::{HeapEventQueue, NUM_BUCKETS, WIDTH_BITS};
 use simcore::stats::{Histogram, Welford};
 use simcore::{EventQueue, SimDuration, SimRng, SimTime};
+
+const BUCKET_NS: u64 = 1 << WIDTH_BITS;
+/// The calendar's near-window length (~67 ms).
+const WINDOW_NS: u64 = NUM_BUCKETS as u64 * BUCKET_NS;
+
+/// A delay from the classes the simulator actually schedules: same
+/// instant, transmission (100 µs), short and long propagation (3.9 ms,
+/// 20 ms), anywhere within one bucket of the near-window edge, and
+/// protocol timers of 0.5–300 s.
+fn class_delay(class: u8, jitter: u64) -> SimDuration {
+    let ns = match class % 8 {
+        0 => 0,
+        1 => 100_000,
+        2 => 3_900_000,
+        3 | 4 => 20_000_000,
+        5 => WINDOW_NS - BUCKET_NS + jitter % (2 * BUCKET_NS + 1),
+        6 => WINDOW_NS + (jitter % 3) * BUCKET_NS - BUCKET_NS,
+        _ => 500_000_000 + jitter % 299_500_000_000,
+    };
+    SimDuration::from_nanos(ns)
+}
+
+/// Pop both calendars to exhaustion, asserting they agree throughout.
+fn drain_both(
+    cal: &mut EventQueue<usize>,
+    heap: &mut HeapEventQueue<usize>,
+) -> Result<(), TestCaseError> {
+    loop {
+        let (a, b) = (cal.pop(), heap.pop());
+        prop_assert_eq!(a, b);
+        if a.is_none() {
+            return Ok(());
+        }
+    }
+}
 
 proptest! {
     /// The calendar queue pops the exact same (time, event) sequence as the
@@ -30,6 +65,63 @@ proptest! {
             if a.is_none() { break; }
         }
         prop_assert_eq!(cal.events_fired(), heap.events_fired());
+    }
+
+    /// Long mixed schedules over the measured delay classes, with enough
+    /// interleaved pops that the clock crosses the near window many times
+    /// and the ring wraps: pop sequences, clocks and lengths must match
+    /// the heap reference at every step.
+    #[test]
+    fn calendar_matches_heap_on_hot_path_delay_classes(
+        ops in prop::collection::vec((0u8..8, any::<u64>(), 0u8..4), 500..3_000),
+    ) {
+        let mut cal = EventQueue::new();
+        let mut heap = HeapEventQueue::new();
+        for (i, &(class, jitter, pops)) in ops.iter().enumerate() {
+            cal.schedule_in(class_delay(class, jitter), i);
+            heap.schedule_in(class_delay(class, jitter), i);
+            for _ in 0..pops {
+                prop_assert_eq!(cal.pop(), heap.pop());
+                prop_assert_eq!(cal.now(), heap.now());
+            }
+            prop_assert_eq!(cal.len(), heap.len());
+        }
+        drain_both(&mut cal, &mut heap)?;
+        prop_assert_eq!(cal.events_fired(), heap.events_fired());
+    }
+
+    /// Hold model (pop one, schedule one) at a fixed depth over the same
+    /// delay classes: the clock runs across many windows, so every
+    /// ring position is reused many times, and `peek_time` (which may
+    /// activate a bucket early) interleaves with schedules.
+    #[test]
+    fn calendar_matches_heap_in_hold_model(
+        depth in 1usize..200,
+        ops in prop::collection::vec((0u8..8, any::<u64>(), any::<bool>()), 4_000..8_000),
+    ) {
+        let mut cal = EventQueue::new();
+        let mut heap = HeapEventQueue::new();
+        for i in 0..depth {
+            let (class, jitter, _) = ops[i % ops.len()];
+            cal.schedule_in(class_delay(class, jitter), i);
+            heap.schedule_in(class_delay(class, jitter), i);
+        }
+        for &(class, jitter, peek) in &ops {
+            if peek {
+                prop_assert_eq!(cal.peek_time(), heap.peek_time());
+            }
+            let (a, b) = (cal.pop(), heap.pop());
+            prop_assert_eq!(a, b);
+            let (_, e) = a.expect("hold model keeps the queue non-empty");
+            cal.schedule_in(class_delay(class, jitter), e);
+            heap.schedule_in(class_delay(class, jitter), e);
+        }
+        prop_assert!(
+            cal.now().as_nanos() > 20 * WINDOW_NS,
+            "the clock must cross many windows, got {:?}",
+            cal.now()
+        );
+        drain_both(&mut cal, &mut heap)?;
     }
 
     /// Ties scheduled across both implementations pop FIFO in both.
