@@ -4,7 +4,7 @@
 use crate::catalog::{design, endpoint_designs, eps_grid, fig9_eps, Workload, ETAS_MBAC};
 use crate::output::{fmt_prob, print_table, save_json};
 use crate::pool;
-use crate::runner::{loss_load_curve, run_seeds, run_seeds_isolated, Fidelity};
+use crate::runner::Fidelity;
 use crate::sweep::Sweep;
 use eac::coexist::CoexistScenario;
 use eac::design::{Design, Group};
@@ -49,12 +49,20 @@ fn loss_load_figure(id: &str, base: &Scenario, style: ProbeStyle, fid: Fidelity)
             .into_iter()
             .map(|e| design(signal, placement, style, e))
             .collect();
-        let reports = loss_load_curve(base, &designs, fid);
+        let reports = Sweep::new(fid.apply(base.clone()))
+            .designs(&designs)
+            .seeds(&fid.seeds())
+            .run()
+            .expect_reports();
         rows.extend(curve_rows(label, &reports));
         all.extend(reports);
     }
     let mbac: Vec<Design> = ETAS_MBAC.iter().map(|&eta| Design::mbac(eta)).collect();
-    let reports = loss_load_curve(base, &mbac, fid);
+    let reports = Sweep::new(fid.apply(base.clone()))
+        .designs(&mbac)
+        .seeds(&fid.seeds())
+        .run()
+        .expect_reports();
     rows.extend(curve_rows("MBAC", &reports));
     all.extend(reports);
     print_table(&CURVE_HEADER, &rows);
@@ -121,12 +129,20 @@ pub fn fig3(fid: Fidelity) {
             .into_iter()
             .map(|e| design(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, e))
             .collect();
-        let reports = loss_load_curve(&base, &designs, fid);
+        let reports = Sweep::new(fid.apply(base))
+            .designs(&designs)
+            .seeds(&fid.seeds())
+            .run()
+            .expect_reports();
         rows.extend(curve_rows(label, &reports));
         all.extend(reports);
     }
     let mbac: Vec<Design> = ETAS_MBAC.iter().map(|&eta| Design::mbac(eta)).collect();
-    let reports = loss_load_curve(&Workload::Basic.scenario(), &mbac, fid);
+    let reports = Sweep::new(fid.apply(Workload::Basic.scenario()))
+        .designs(&mbac)
+        .seeds(&fid.seeds())
+        .run()
+        .expect_reports();
     rows.extend(curve_rows("MBAC", &reports));
     all.extend(reports);
     print_table(&CURVE_HEADER, &rows);
@@ -159,12 +175,20 @@ pub fn fig4to7(which: u8, fid: Fidelity) {
             .into_iter()
             .map(|e| design(signal, placement, style, e))
             .collect();
-        let reports = loss_load_curve(&base, &designs, fid);
+        let reports = Sweep::new(fid.apply(base.clone()))
+            .designs(&designs)
+            .seeds(&fid.seeds())
+            .run()
+            .expect_reports();
         rows.extend(curve_rows(label, &reports));
         all.extend(reports);
     }
     let mbac: Vec<Design> = ETAS_MBAC.iter().map(|&eta| Design::mbac(eta)).collect();
-    let reports = loss_load_curve(&base, &mbac, fid);
+    let reports = Sweep::new(fid.apply(base))
+        .designs(&mbac)
+        .seeds(&fid.seeds())
+        .run()
+        .expect_reports();
     rows.extend(curve_rows("MBAC", &reports));
     all.extend(reports);
     print_table(&CURVE_HEADER, &rows);
@@ -202,7 +226,11 @@ pub fn fig9(fid: Fidelity) {
         for w in Workload::ALL {
             let d = design(signal, placement, ProbeStyle::SlowStart, eps);
             let s = fid.apply(w.scenario().design(d));
-            let r = run_seeds(&s, &fid.seeds());
+            let r = Sweep::new(s)
+                .seeds(&fid.seeds())
+                .run()
+                .expect_reports()
+                .remove(0);
             rows.push(vec![
                 label.to_string(),
                 w.name().to_string(),
@@ -233,7 +261,11 @@ pub fn table3(fid: Fidelity) {
         ];
         let d = design(signal, placement, ProbeStyle::SlowStart, 0.0);
         let s = fid.apply(Workload::Basic.scenario().groups(groups).design(d));
-        let r = run_seeds(&s, &fid.seeds());
+        let r = Sweep::new(s)
+            .seeds(&fid.seeds())
+            .run()
+            .expect_reports()
+            .remove(0);
         rows.push(vec![
             label.to_string(),
             format!("{:.4}", r.groups[0].blocking),
@@ -257,7 +289,11 @@ pub fn table4(fid: Fidelity) {
     let mut ser: Vec<(String, f64, f64)> = Vec::new();
     let mut run_one = |label: String, d: Design| {
         let s = fid.apply(Workload::Hetero.scenario().design(d));
-        let r = run_seeds(&s, &fid.seeds());
+        let r = Sweep::new(s)
+            .seeds(&fid.seeds())
+            .run()
+            .expect_reports()
+            .remove(0);
         // Groups: EXP1, EXP2, EXP4, POO1. Small = all but EXP2.
         let small: Vec<&eac::metrics::GroupReport> =
             r.groups.iter().filter(|g| g.name != "EXP2").collect();
@@ -402,7 +438,11 @@ pub fn ablate(which: &str, fid: Fidelity) {
             for dur in [1.0, 2.5, 5.0, 10.0, 25.0] {
                 let d = design(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, 0.01);
                 let s = fid.apply(Workload::Basic.scenario().probe_secs(dur).design(d));
-                let r = run_seeds(&s, &fid.seeds());
+                let r = Sweep::new(s)
+                    .seeds(&fid.seeds())
+                    .run()
+                    .expect_reports()
+                    .remove(0);
                 rows.push(vec![
                     format!("{dur:.1}"),
                     format!("{:.4}", r.utilization),
@@ -423,7 +463,11 @@ pub fn ablate(which: &str, fid: Fidelity) {
                 let d = design(Signal::Mark, Placement::InBand, ProbeStyle::SlowStart, 0.01);
                 let mut s = fid.apply(Workload::Basic.scenario().design(d));
                 s.vq_factor = f;
-                let r = run_seeds(&s, &fid.seeds());
+                let r = Sweep::new(s)
+                    .seeds(&fid.seeds())
+                    .run()
+                    .expect_reports()
+                    .remove(0);
                 rows.push(vec![
                     format!("{f:.2}"),
                     format!("{:.4}", r.utilization),
@@ -449,7 +493,11 @@ pub fn ablate(which: &str, fid: Fidelity) {
                 );
                 let mut s = fid.apply(Workload::HighLoad.scenario().design(d));
                 s.probe_pushout = push;
-                let r = run_seeds(&s, &fid.seeds());
+                let r = Sweep::new(s)
+                    .seeds(&fid.seeds())
+                    .run()
+                    .expect_reports()
+                    .remove(0);
                 rows.push(vec![
                     label.to_string(),
                     format!("{:.4}", r.utilization),
@@ -466,7 +514,11 @@ pub fn ablate(which: &str, fid: Fidelity) {
                 let d = design(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, 0.01);
                 let mut s = fid.apply(Workload::Basic.scenario().design(d));
                 s.buffer_pkts = b;
-                let r = run_seeds(&s, &fid.seeds());
+                let r = Sweep::new(s)
+                    .seeds(&fid.seeds())
+                    .run()
+                    .expect_reports()
+                    .remove(0);
                 rows.push(vec![
                     format!("{b}"),
                     format!("{:.4}", r.utilization),
@@ -503,7 +555,11 @@ pub fn ablate(which: &str, fid: Fidelity) {
                 let d = design(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, 0.01);
                 let mut s = fid.apply(Workload::HighLoad.scenario().design(d));
                 s.retry = retry;
-                let r = run_seeds(&s, &fid.seeds());
+                let r = Sweep::new(s)
+                    .seeds(&fid.seeds())
+                    .run()
+                    .expect_reports()
+                    .remove(0);
                 rows.push(vec![
                     label.to_string(),
                     format!("{:.4}", r.utilization),
@@ -555,7 +611,8 @@ pub fn robust_flap(fid: Fidelity) {
                     s = s.flap(down, up);
                 }
             }
-            let (avg, outcomes) = run_seeds_isolated(&s, &fid.seeds());
+            let mut res = Sweep::new(s).seeds(&fid.seeds()).isolated(true).run();
+            let (avg, outcomes) = (res.reports.remove(0), res.outcomes.remove(0));
             let ok = outcomes.iter().filter(|o| o.is_ok()).count();
             match avg {
                 Ok(mut r) => {
@@ -626,7 +683,8 @@ pub fn robust_ctrl_loss(fid: Fidelity) {
             if let Some(t) = timeout {
                 s = s.verdict_timeout(t);
             }
-            let (avg, outcomes) = run_seeds_isolated(&s, &fid.seeds());
+            let mut res = Sweep::new(s).seeds(&fid.seeds()).isolated(true).run();
+            let (avg, outcomes) = (res.reports.remove(0), res.outcomes.remove(0));
             let ok = outcomes.iter().filter(|o| o.is_ok()).count();
             match avg {
                 Ok(mut r) => {

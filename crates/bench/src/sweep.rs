@@ -1,10 +1,10 @@
 //! The sweep builder: one entry point for every multi-run experiment.
 //!
 //! A [`Sweep`] fans the design × seed grid out over the [`pool`] and
-//! averages each design's surviving seeds into one [`Report`]. It
-//! subsumes the old `run_seeds` (one design, several seeds),
-//! `loss_load_curve` (several designs) and `run_seeds_isolated` (per-seed
-//! panic/error containment) free functions, which remain as thin shims.
+//! averages each design's surviving seeds into one [`Report`]. One design
+//! over several seeds, a loss-load curve over several designs, and
+//! per-seed panic/error containment ([`Sweep::isolated`], recorded as a
+//! [`SeedOutcome`]) are all the same builder.
 //!
 //! Determinism: jobs are laid out design-major (`design * seeds + seed`),
 //! results come back from the pool in job-index order, and each design's
@@ -13,7 +13,6 @@
 //! worker count.
 
 use crate::pool::{self, run_indexed};
-use crate::runner::SeedOutcome;
 use eac::design::Design;
 use eac::metrics::Report;
 use eac::scenario::Scenario;
@@ -29,6 +28,34 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         (*s).to_string()
     } else {
         "panic with non-string payload".to_string()
+    }
+}
+
+/// What happened to one seed of a sweep.
+#[derive(Clone, Debug)]
+pub enum SeedOutcome {
+    /// The seed ran to completion.
+    Ok { seed: u64 },
+    /// The run returned a graceful error (audit failure, event budget,
+    /// time regression).
+    Error { seed: u64, message: String },
+    /// The run panicked; the panic was contained to this seed.
+    Panic { seed: u64, message: String },
+}
+
+impl SeedOutcome {
+    /// The seed this outcome belongs to.
+    pub fn seed(&self) -> u64 {
+        match self {
+            SeedOutcome::Ok { seed }
+            | SeedOutcome::Error { seed, .. }
+            | SeedOutcome::Panic { seed, .. } => *seed,
+        }
+    }
+
+    /// Whether the seed completed.
+    pub fn is_ok(&self) -> bool {
+        matches!(self, SeedOutcome::Ok { .. })
     }
 }
 

@@ -19,15 +19,19 @@
 use crate::design::{effective_epsilons, Design, Group};
 use crate::host::{HostAgent, HostConfig};
 use crate::mbac::MbacRegistry;
-use crate::metrics::{GroupReport, Report};
+use crate::metrics::Report;
 use crate::probe::{Placement, Signal};
-use crate::scenario::{MeterAgent, RunConfig, ScenarioError};
+use crate::scenario::{drive, tally, MeterAgent, RunConfig, ScenarioError};
 use crate::sink::{stage_grace, SinkAgent, SinkConfig};
 use netsim::{
     DropTail, Limit, LinkId, Network, NodeId, Sim, StrictPrio, TrafficClass, VirtualQueue,
 };
 use simcore::{SimDuration, SimRng, SimTime};
 use traffic::{Demography, SourceSpec};
+
+/// Report order of the populations: the three cross populations, then the
+/// long one.
+const GROUP_NAMES: [&str; 4] = ["cross-0", "cross-1", "cross-2", "long"];
 
 /// Configuration of the multi-hop experiment.
 #[derive(Clone, Debug)]
@@ -206,13 +210,6 @@ impl MultihopScenario {
         }
 
         let mut sim = Sim::new(net);
-        if let Some(budget) = self.run_config.event_budget {
-            sim.set_event_budget(budget);
-        }
-        if self.run_config.wants_lenient() {
-            sim.set_lenient_scheduling(true);
-        }
-
         if let Design::Mbac { eta } = self.design {
             let mut reg = MbacRegistry::new(eta);
             for &l in &backbone {
@@ -233,34 +230,19 @@ impl MultihopScenario {
         // Long flows may queue at each of 3 hops: scale the grace period.
         let grace = stage_grace(buffer_bytes, self.link_bps, prop) * 3;
 
-        // Group layout: every host/sink pair sees the same 4-group vector
-        // so group indices line up in reports; each host only *generates*
-        // its own group (weights on foreign groups are ~0 via dedicated
-        // HostConfig group lists of length 1 — instead we give each host a
-        // single group but tag it with the global group index).
-        //
-        // Simpler and robust: each host gets the full 4-group list but a
-        // demography of its own; it only ever picks its own group by
-        // weight. We implement that by per-host group lists with one
-        // entry, whose *name* encodes the global index, and sinks sized
-        // for 4 groups via eps vectors of length 4.
-        let group_names = ["cross-0", "cross-1", "cross-2", "long"];
+        // Every host and sink sees the same 4-group list, so group indices
+        // line up in reports: a host generates only its own population,
+        // whose slot carries weight 1; the other slots get a weight of
+        // 1e-12 that in practice is never drawn (weights must be > 0).
         let eps4 = {
-            let groups: Vec<Group> = group_names
+            let groups: Vec<Group> = GROUP_NAMES
                 .iter()
                 .map(|n| Group::new(*n, self.source.clone(), 1.0))
                 .collect();
             effective_epsilons(&self.design, &groups)
         };
-
         let mk_host = |sink: NodeId, tau: f64, global_group: usize, path: Vec<LinkId>| {
-            // One-group host; the group index the *sink* sees must be the
-            // global one, so the host's single group is padded into a
-            // 4-slot list with zero-weight dummies replaced by weight on
-            // the right slot. HostAgent picks by weight, so give the
-            // global slot weight 1 and others an epsilon-weight that can
-            // never be drawn (weights must be > 0, so use tiny).
-            let groups: Vec<Group> = group_names
+            let groups: Vec<Group> = GROUP_NAMES
                 .iter()
                 .enumerate()
                 .map(|(i, n)| {
@@ -283,6 +265,14 @@ impl MultihopScenario {
                 measure_end: horizon,
             }
         };
+        let mk_sink = || {
+            SinkAgent::new(SinkConfig {
+                signal: self.design.signal(),
+                eps_per_group: eps4.clone(),
+                grace,
+                flow_ttl: SimDuration::from_secs_f64(self.probe_total_s * 2.0 + 60.0),
+            })
+        };
 
         // Cross hosts.
         for i in 0..3 {
@@ -292,168 +282,45 @@ impl MultihopScenario {
                 cross_hosts[i],
                 Box::new(HostAgent::new(cfg, root.derive(stream))),
             );
-            let sink_cfg = SinkConfig {
-                signal: self.design.signal(),
-                eps_per_group: eps4.clone(),
-                grace,
-                flow_ttl: SimDuration::from_secs_f64(self.probe_total_s * 2.0 + 60.0),
-            };
-            sim.attach(cross_sinks[i], Box::new(SinkAgent::new(sink_cfg)));
+            sim.attach(cross_sinks[i], Box::new(mk_sink()));
         }
         // Long host.
         let cfg = mk_host(long_sink, self.tau_long_s, 3, backbone.clone());
         sim.attach(long_host, Box::new(HostAgent::new(cfg, root.derive(20))));
-        sim.attach(
-            long_sink,
-            Box::new(SinkAgent::new(SinkConfig {
-                signal: self.design.signal(),
-                eps_per_group: eps4,
-                grace,
-                flow_ttl: SimDuration::from_secs_f64(self.probe_total_s * 2.0 + 60.0),
-            })),
-        );
+        sim.attach(long_sink, Box::new(mk_sink()));
 
-        // Run with warm-up marking and a drain (as in the single-link
-        // scenario).
-        sim.try_run_until(warmup)?;
-        for l in sim.net.links_mut() {
-            l.stats.mark_all();
-        }
-        for &h in cross_hosts.iter().chain([long_host].iter()) {
-            sim.agent::<HostAgent>(h).expect("host").stats.mark_all();
-        }
-        for &s in cross_sinks.iter().chain([long_sink].iter()) {
-            sim.agent::<SinkAgent>(s).expect("sink").stats.mark_all();
-        }
-        sim.try_run_until(horizon)?;
         let measured = SimDuration::from_secs_f64(self.horizon_s - self.warmup_s);
-        let link_utils: Vec<f64> = backbone
-            .iter()
-            .map(|&l| {
-                sim.net
-                    .link(l)
-                    .stats
-                    .utilization(TrafficClass::Data, self.link_bps, measured)
-            })
+        let (link_utils, link_loss) = drive(
+            &mut sim,
+            &self.run_config,
+            self.warmup_s,
+            self.horizon_s,
+            |sim| {
+                let stats = |l: &LinkId| &sim.net.link(*l).stats;
+                let utils: Vec<f64> = backbone
+                    .iter()
+                    .map(|l| stats(l).utilization(TrafficClass::Data, self.link_bps, measured))
+                    .collect();
+                let loss = backbone
+                    .iter()
+                    .map(|l| stats(l).drop_fraction(TrafficClass::Data))
+                    .sum::<f64>()
+                    / 3.0;
+                (utils, loss)
+            },
+        )?;
+
+        let ends: Vec<(NodeId, NodeId)> = (0..3)
+            .map(|i| (cross_hosts[i], cross_sinks[i]))
+            .chain([(long_host, long_sink)])
             .collect();
-        let link_loss: f64 = backbone
-            .iter()
-            .map(|&l| sim.net.link(l).stats.drop_fraction(TrafficClass::Data))
-            .sum::<f64>()
-            / 3.0;
-        sim.try_run_until(horizon + SimDuration::from_secs(5))?;
-
-        // Collect per-population results. Host i's stats live in its own
-        // group slot; sinks count data per global group index.
-        let mut groups: Vec<GroupReport> = Vec::new();
-        let hosts = [cross_hosts[0], cross_hosts[1], cross_hosts[2], long_host];
-        let sinks = [cross_sinks[0], cross_sinks[1], cross_sinks[2], long_sink];
-        for gi in 0..4 {
-            let (decided, accepted, rejected, sent) = {
-                let h = sim.agent::<HostAgent>(hosts[gi]).expect("host");
-                (
-                    h.stats.decided[gi].since_mark(),
-                    h.stats.accepted[gi].since_mark(),
-                    h.stats.rejected[gi].since_mark(),
-                    h.stats.data_sent[gi].since_mark(),
-                )
-            };
-            let received = {
-                let s = sim.agent::<SinkAgent>(sinks[gi]).expect("sink");
-                s.stats.data_received[gi].since_mark()
-            };
-            groups.push(GroupReport {
-                name: group_names[gi].to_string(),
-                decided,
-                accepted,
-                rejected,
-                blocking: if decided == 0 {
-                    0.0
-                } else {
-                    rejected as f64 / decided as f64
-                },
-                data_sent: sent,
-                data_received: received,
-                loss: if sent == 0 {
-                    0.0
-                } else {
-                    1.0 - received as f64 / sent as f64
-                },
-            });
-        }
-
-        let total_sent: u64 = groups.iter().map(|g| g.data_sent).sum();
-        let total_recv: u64 = groups.iter().map(|g| g.data_received).sum();
-        let total_dec: u64 = groups.iter().map(|g| g.decided).sum();
-        let total_rej: u64 = groups.iter().map(|g| g.rejected).sum();
-        let mut timeouts = 0u64;
-        let mut leaked_flows = 0u64;
-        let mut delay_hist = telemetry::LogHistogram::new();
-        for gi in 0..4 {
-            let h = sim.agent::<HostAgent>(hosts[gi]).expect("host");
-            timeouts += h.stats.timeouts.since_mark();
-            leaked_flows += h.stranded_flows() as u64;
-            let s = sim.agent::<SinkAgent>(sinks[gi]).expect("sink");
-            leaked_flows += s.undecided_flows() as u64;
-            delay_hist.merge(&s.stats.data_delay_hist);
-        }
-        let param = match self.design {
-            Design::Endpoint { epsilon, .. } => epsilon,
-            Design::Mbac { eta } => eta,
-        };
-
-        if self.run_config.audit {
-            sim.check_conservation()?;
-        }
-
+        let names = GROUP_NAMES.iter().map(|n| n.to_string());
         Ok(Report {
-            design: self.design.name(),
-            param,
             utilization: link_utils.iter().sum::<f64>() / link_utils.len() as f64,
-            data_loss: if total_sent == 0 {
-                0.0
-            } else {
-                1.0 - total_recv as f64 / total_sent as f64
-            },
-            link_loss,
-            blocking: if total_dec == 0 {
-                0.0
-            } else {
-                total_rej as f64 / total_dec as f64
-            },
-            probe_overhead: 0.0,
-            mark_fraction: 0.0,
-            delay_ms_mean: 0.0,
-            delay_ms_std: 0.0,
-            delay_hist: telemetry::HistSummary::from_nanos(&delay_hist),
-            groups,
             link_utils,
-            timeouts,
-            leaked_flows,
-            measured_s: measured.as_secs_f64(),
-            events: sim.queue.events_fired(),
-            seed: self.seed,
+            link_loss,
+            ..tally(&mut sim, &self.design, names, &ends, measured, self.seed)
         })
-    }
-
-    /// Like [`run`](Self::run) with the conservation audit forced on,
-    /// returning just the audit error.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `.audited().run()`, which reports all run errors"
-    )]
-    pub fn run_audited(&self) -> Result<Report, netsim::AuditError> {
-        match self.clone().audited().run() {
-            Ok(r) => Ok(r),
-            Err(ScenarioError::Audit(e)) => Err(e),
-            Err(ScenarioError::Run(e)) => panic!("{e}"),
-        }
-    }
-
-    /// Build and run, panicking on any [`ScenarioError`].
-    #[deprecated(since = "0.2.0", note = "use `run()` and handle the Result")]
-    pub fn run_or_panic(&self) -> Report {
-        self.run().unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -499,5 +366,16 @@ mod tests {
             cross_avg
         );
         assert!(r.link_utils.iter().all(|&u| u > 0.1), "{:?}", r.link_utils);
+    }
+
+    #[test]
+    #[should_panic(expected = "must end before the horizon")]
+    fn warmup_reaching_the_horizon_is_rejected() {
+        // A 0-s measurement window has no meaning; like the single-link
+        // scenario, the run refuses it instead of reporting zeros.
+        let _ = MultihopScenario::tables56()
+            .horizon_secs(20.0)
+            .warmup_secs(20.0)
+            .run();
     }
 }

@@ -323,11 +323,7 @@ impl Scenario {
     /// Build and run the simulation, producing a [`Report`] or a graceful
     /// error (exhausted event budget, scheduling violation, failed
     /// conservation audit), as configured by the scenario's [`RunConfig`].
-    ///
-    /// This is the single entry point for every run. Without watchdogs
-    /// armed it cannot fail; callers that want the old infallible
-    /// behaviour can `.unwrap()` (or use the deprecated
-    /// [`run_or_panic`](Scenario::run_or_panic) shim).
+    /// Without watchdogs armed it cannot fail.
     pub fn run(&self) -> Result<Report, ScenarioError> {
         self.run_full().map(|o| o.report)
     }
@@ -339,7 +335,6 @@ impl Scenario {
     /// propagates (the recorder itself stays reachable through any
     /// [`TelemetryConfig::with_recorder`] handle the caller kept).
     pub fn run_full(&self) -> Result<RunOutput, ScenarioError> {
-        assert!(self.warmup_s < self.horizon_s);
         let root = SimRng::new(self.seed);
 
         // Topology: host -> bottleneck -> sink, fast reverse path.
@@ -454,24 +449,58 @@ impl Scenario {
         if !plan.is_empty() {
             sim.install_faults(plan, root.derive(99));
         }
-        if let Some(budget) = self.run_config.event_budget {
-            sim.set_event_budget(budget);
-        }
-        if self.run_config.wants_lenient() {
-            sim.set_lenient_scheduling(true);
-        }
         if let Some(tcfg) = &self.telemetry {
             sim.net.telemetry = Some(Box::new(tcfg.build()));
         }
 
-        let driven = self.drive(&mut sim, host_n, sink_n, bottleneck);
+        // The bottleneck metrics are read at the horizon, not after the
+        // drain.
+        let measured = SimDuration::from_secs_f64(self.horizon_s - self.warmup_s);
+        let driven = drive(
+            &mut sim,
+            &self.run_config,
+            self.warmup_s,
+            self.horizon_s,
+            |sim| {
+                let stats = &sim.net.link(bottleneck).stats;
+                let data = stats.class(TrafficClass::Data);
+                let data_b = data.transmitted_bytes.since_mark();
+                let probe_b = stats
+                    .class(TrafficClass::Probe)
+                    .transmitted_bytes
+                    .since_mark();
+                (
+                    stats.utilization(TrafficClass::Data, self.link_bps, measured),
+                    stats.drop_fraction(TrafficClass::Data),
+                    ratio(probe_b, data_b + probe_b),
+                    ratio(data.marked.since_mark(), data.transmitted.since_mark()),
+                )
+            },
+        );
         // Recover the hub before collecting so it survives both outcomes.
         let tel = sim.net.telemetry.take();
         match driven {
-            Ok(link_metrics) => Ok(RunOutput {
-                report: self.collect(&mut sim, host_n, sink_n, link_metrics),
-                telemetry: tel,
-            }),
+            Ok((utilization, link_loss, probe_overhead, mark_fraction)) => {
+                let names = self.groups.iter().map(|g| g.name.clone());
+                let ends = vec![(host_n, sink_n); self.groups.len()];
+                let report = tally(&mut sim, &self.design, names, &ends, measured, self.seed);
+                let sink = sim.agent::<SinkAgent>(sink_n).expect("sink");
+                let delay = &sink.stats.data_delay;
+                let report = Report {
+                    utilization,
+                    link_utils: vec![utilization],
+                    link_loss,
+                    probe_overhead,
+                    mark_fraction,
+                    delay_ms_mean: delay.mean() * 1_000.0,
+                    delay_ms_std: delay.std_dev() * 1_000.0,
+                    ..report
+                };
+                Ok(RunOutput {
+                    report,
+                    telemetry: tel,
+                })
+            }
             Err(e) => {
                 if let Some(tel) = &tel {
                     // RunErrors were already recorded by the sim loop; the
@@ -492,218 +521,162 @@ impl Scenario {
             }
         }
     }
+}
 
-    /// Warm up, snapshot, measure, then drain so every in-window data
-    /// packet has either arrived or been dropped before counters are read
-    /// (exact loss accounting). Returns the bottleneck link metrics, which
-    /// must be sampled at the horizon rather than after the drain.
-    fn drive(
-        &self,
-        sim: &mut Sim,
-        host_n: NodeId,
-        sink_n: NodeId,
-        bottleneck: netsim::LinkId,
-    ) -> Result<(f64, f64, f64, f64), ScenarioError> {
-        let horizon = SimTime::from_secs_f64(self.horizon_s);
-        let warmup = SimTime::from_secs_f64(self.warmup_s);
-        sim.try_run_until(warmup)?;
-        for l in sim.net.links_mut() {
-            l.stats.mark_all();
-        }
-        sim.agent::<HostAgent>(host_n)
-            .expect("host")
-            .stats
-            .mark_all();
-        sim.agent::<SinkAgent>(sink_n)
-            .expect("sink")
-            .stats
-            .mark_all();
-        sim.try_run_until(horizon)?;
-        let link_metrics = self.read_link_metrics(sim, bottleneck);
-        sim.try_run_until(horizon + SimDuration::from_secs(5))?;
-
-        if self.run_config.audit {
-            sim.check_conservation()?;
-        }
-        Ok(link_metrics)
+/// `num / den`, or 0 when nothing was counted.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
     }
+}
 
-    /// Build and run the simulation, producing a [`Report`] or a graceful
-    /// error.
-    #[deprecated(since = "0.2.0", note = "use `run()`, which is now fallible")]
-    pub fn try_run(&self) -> Result<Report, ScenarioError> {
-        self.run()
+/// The measurement protocol of §3.2, shared by every packet-level scenario
+/// whose result is a [`Report`]: arm the [`RunConfig`] watchdogs, warm up,
+/// mark the counters of every link and of every host and sink agent,
+/// measure to the horizon, read the bottleneck metrics there with
+/// `at_horizon`, drain 5 s so every in-window data packet has either
+/// arrived or been dropped (exact loss accounting), then audit packet
+/// conservation if asked.
+pub(crate) fn drive<M>(
+    sim: &mut Sim,
+    run: &RunConfig,
+    warmup_s: f64,
+    horizon_s: f64,
+    at_horizon: impl FnOnce(&Sim) -> M,
+) -> Result<M, ScenarioError> {
+    assert!(
+        warmup_s < horizon_s,
+        "warm-up ({warmup_s} s) must end before the horizon ({horizon_s} s)"
+    );
+    if let Some(budget) = run.event_budget {
+        sim.set_event_budget(budget);
     }
-
-    /// Build and run the simulation, panicking on any [`ScenarioError`].
-    #[deprecated(since = "0.2.0", note = "use `run()` and handle the Result")]
-    pub fn run_or_panic(&self) -> Report {
-        self.run().unwrap_or_else(|e| panic!("{e}"))
+    if run.wants_lenient() {
+        sim.set_lenient_scheduling(true);
     }
-
-    fn read_link_metrics(&self, sim: &Sim, bottleneck: netsim::LinkId) -> (f64, f64, f64, f64) {
-        let measured = SimDuration::from_secs_f64(self.horizon_s - self.warmup_s);
-        let stats = &sim.net.link(bottleneck).stats;
-        let util = stats.utilization(TrafficClass::Data, self.link_bps, measured);
-        let loss = stats.drop_fraction(TrafficClass::Data);
-        let data_b = stats
-            .class(TrafficClass::Data)
-            .transmitted_bytes
-            .since_mark();
-        let probe_b = stats
-            .class(TrafficClass::Probe)
-            .transmitted_bytes
-            .since_mark();
-        let overhead = if data_b + probe_b == 0 {
-            0.0
-        } else {
-            probe_b as f64 / (data_b + probe_b) as f64
-        };
-        let marked = stats.class(TrafficClass::Data).marked.since_mark();
-        let transmitted = stats.class(TrafficClass::Data).transmitted.since_mark();
-        let mark_frac = if transmitted == 0 {
-            0.0
-        } else {
-            marked as f64 / transmitted as f64
-        };
-        (util, loss, overhead, mark_frac)
+    let horizon = SimTime::from_secs_f64(horizon_s);
+    sim.try_run_until(SimTime::from_secs_f64(warmup_s))?;
+    for l in sim.net.links_mut() {
+        l.stats.mark_all();
     }
+    for_each_end(sim, |h| h.stats.mark_all(), |s| s.stats.mark_all());
+    sim.try_run_until(horizon)?;
+    let metrics = at_horizon(sim);
+    sim.try_run_until(horizon + SimDuration::from_secs(5))?;
+    if run.audit {
+        sim.check_conservation()?;
+    }
+    Ok(metrics)
+}
 
-    fn collect(
-        &self,
-        sim: &mut Sim,
-        host_n: NodeId,
-        sink_n: NodeId,
-        link_metrics: (f64, f64, f64, f64),
-    ) -> Report {
-        let measured = SimDuration::from_secs_f64(self.horizon_s - self.warmup_s);
-        let (utilization, link_loss, probe_overhead, mark_fraction) = link_metrics;
-
-        // Host/sink per-group counters.
-        let (decided, accepted, rejected, sent, timeouts, host_stranded): (
-            Vec<u64>,
-            Vec<u64>,
-            Vec<u64>,
-            Vec<u64>,
-            u64,
-            u64,
-        ) = {
-            let host = sim.agent::<HostAgent>(host_n).expect("host");
-            (
-                host.stats.decided.iter().map(|c| c.since_mark()).collect(),
-                host.stats.accepted.iter().map(|c| c.since_mark()).collect(),
-                host.stats.rejected.iter().map(|c| c.since_mark()).collect(),
-                host.stats
-                    .data_sent
-                    .iter()
-                    .map(|c| c.since_mark())
-                    .collect(),
-                host.stats.timeouts.since_mark(),
-                host.stranded_flows() as u64,
-            )
-        };
-        let (received, delay_ms_mean, delay_ms_std, delay_hist, sink_undecided): (
-            Vec<u64>,
-            f64,
-            f64,
-            telemetry::HistSummary,
-            u64,
-        ) = {
-            let sink = sim.agent::<SinkAgent>(sink_n).expect("sink");
-            (
-                sink.stats
-                    .data_received
-                    .iter()
-                    .map(|c| c.since_mark())
-                    .collect(),
-                sink.stats.data_delay.mean() * 1_000.0,
-                sink.stats.data_delay.std_dev() * 1_000.0,
-                telemetry::HistSummary::from_nanos(&sink.stats.data_delay_hist),
-                sink.undecided_flows() as u64,
-            )
-        };
-
-        let groups: Vec<GroupReport> = self
-            .groups
-            .iter()
-            .enumerate()
-            .map(|(i, g)| {
-                let dec = decided[i];
-                let rej = rejected[i];
-                GroupReport {
-                    name: g.name.clone(),
-                    decided: dec,
-                    accepted: accepted[i],
-                    rejected: rej,
-                    blocking: if dec == 0 {
-                        0.0
-                    } else {
-                        rej as f64 / dec as f64
-                    },
-                    data_sent: sent[i],
-                    data_received: received[i],
-                    loss: if sent[i] == 0 {
-                        0.0
-                    } else {
-                        1.0 - received[i] as f64 / sent[i] as f64
-                    },
-                }
-            })
-            .collect();
-
-        let total_sent: u64 = sent.iter().sum();
-        let total_recv: u64 = received.iter().sum();
-        let total_dec: u64 = decided.iter().sum();
-        let total_rej: u64 = rejected.iter().sum();
-
-        let param = match self.design {
-            Design::Endpoint { epsilon, .. } => epsilon,
-            Design::Mbac { eta } => eta,
-        };
-
-        Report {
-            design: self.design.name(),
-            param,
-            utilization,
-            data_loss: if total_sent == 0 {
-                0.0
-            } else {
-                1.0 - total_recv as f64 / total_sent as f64
-            },
-            link_loss,
-            blocking: if total_dec == 0 {
-                0.0
-            } else {
-                total_rej as f64 / total_dec as f64
-            },
-            probe_overhead,
-            mark_fraction,
-            delay_ms_mean,
-            delay_ms_std,
-            delay_hist,
-            groups,
-            link_utils: vec![utilization],
-            timeouts,
-            leaked_flows: host_stranded + sink_undecided,
-            measured_s: measured.as_secs_f64(),
-            events: sim.queue.events_fired(),
-            seed: self.seed,
+/// Visit every host and sink agent attached to `sim`, in node order.
+fn for_each_end(
+    sim: &mut Sim,
+    mut host: impl FnMut(&mut HostAgent),
+    mut sink: impl FnMut(&mut SinkAgent),
+) {
+    for n in 0..sim.net.num_nodes() {
+        let node = NodeId(n as u32);
+        if let Some(h) = sim.agent::<HostAgent>(node) {
+            host(h);
+        } else if let Some(s) = sim.agent::<SinkAgent>(node) {
+            sink(s);
         }
     }
 }
 
-/// Run a scenario across several seeds and average the reports.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the bench crate's `Sweep` builder, which parallelizes and isolates"
-)]
-pub fn run_seeds(base: &Scenario, seeds: &[u64]) -> Report {
-    assert!(!seeds.is_empty());
-    let reports: Vec<Report> = seeds
-        .iter()
-        .map(|&s| base.clone().seed(s).run().unwrap_or_else(|e| panic!("{e}")))
+/// Assemble the [`Report`] of a driven run. Population `i` is named by the
+/// `i`-th of `names` and read from slot `i` of the per-group counters of
+/// its `(host, sink)` in `ends`; timeouts, leaked flows and the delay
+/// histogram are summed over every host and sink. Fields that describe
+/// the bottleneck links (utilization, link loss, probe overhead, mark
+/// fraction, delay mean/std) are left at 0 for the caller to fill in.
+pub(crate) fn tally(
+    sim: &mut Sim,
+    design: &Design,
+    names: impl Iterator<Item = String>,
+    ends: &[(NodeId, NodeId)],
+    measured: SimDuration,
+    seed: u64,
+) -> Report {
+    let groups: Vec<GroupReport> = names
+        .zip(ends)
+        .enumerate()
+        .map(|(i, (name, &(host, sink)))| {
+            let h = &sim.agent::<HostAgent>(host).expect("host").stats;
+            let (decided, accepted, rejected, data_sent) = (
+                h.decided[i].since_mark(),
+                h.accepted[i].since_mark(),
+                h.rejected[i].since_mark(),
+                h.data_sent[i].since_mark(),
+            );
+            let data_received = sim
+                .agent::<SinkAgent>(sink)
+                .expect("sink")
+                .stats
+                .data_received[i]
+                .since_mark();
+            GroupReport {
+                name,
+                decided,
+                accepted,
+                rejected,
+                blocking: ratio(rejected, decided),
+                data_sent,
+                data_received,
+                loss: loss(data_received, data_sent),
+            }
+        })
         .collect();
-    Report::average(&reports)
+
+    let (mut timeouts, mut stranded, mut undecided) = (0, 0, 0);
+    let mut delay_hist = telemetry::LogHistogram::new();
+    for_each_end(
+        sim,
+        |h| {
+            timeouts += h.stats.timeouts.since_mark();
+            stranded += h.stranded_flows() as u64;
+        },
+        |s| {
+            undecided += s.undecided_flows() as u64;
+            delay_hist.merge(&s.stats.data_delay_hist);
+        },
+    );
+    let total = |f: fn(&GroupReport) -> u64| groups.iter().map(f).sum::<u64>();
+    Report {
+        design: design.name(),
+        param: match *design {
+            Design::Endpoint { epsilon, .. } => epsilon,
+            Design::Mbac { eta } => eta,
+        },
+        utilization: 0.0,
+        data_loss: loss(total(|g| g.data_received), total(|g| g.data_sent)),
+        link_loss: 0.0,
+        blocking: ratio(total(|g| g.rejected), total(|g| g.decided)),
+        probe_overhead: 0.0,
+        mark_fraction: 0.0,
+        delay_ms_mean: 0.0,
+        delay_ms_std: 0.0,
+        delay_hist: telemetry::HistSummary::from_nanos(&delay_hist),
+        link_utils: Vec::new(),
+        timeouts,
+        leaked_flows: stranded + undecided,
+        measured_s: measured.as_secs_f64(),
+        events: sim.queue.events_fired(),
+        seed,
+        groups,
+    }
+}
+
+/// End-to-end loss: the fraction of `sent` packets not `received`.
+fn loss(received: u64, sent: u64) -> f64 {
+    if sent == 0 {
+        0.0
+    } else {
+        1.0 - received as f64 / sent as f64
+    }
 }
 
 #[cfg(test)]

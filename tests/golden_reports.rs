@@ -115,3 +115,61 @@ fn fig11_coexist_report_is_byte_identical() {
         serde_json::to_string_pretty(&s.run()).unwrap(),
     );
 }
+
+/// A Tables 5/6 cell shortened like `multihop_tables56`, with the given
+/// design.
+fn multihop(design: Design) -> String {
+    let s = MultihopScenario {
+        tau_long_s: 0.3,
+        tau_cross_s: 0.3,
+        ..MultihopScenario::tables56()
+    }
+    .design(design)
+    .horizon_secs(30.0)
+    .warmup_secs(5.0)
+    .seed(17);
+    serde_json::to_string_pretty(&s.run().expect("multi-hop cell")).unwrap()
+}
+
+#[test]
+fn multihop_mbac_report_is_byte_identical() {
+    // One meter agent samples all three backbone links of the registry.
+    check("multihop_mbac", multihop(Design::mbac(0.9)));
+}
+
+#[test]
+fn multihop_out_of_band_mark_report_is_byte_identical() {
+    // Each backbone link carries its own virtual-queue marker.
+    let d = Design::endpoint(
+        Signal::Mark,
+        Placement::OutOfBand,
+        ProbeStyle::SlowStart,
+        0.01,
+    );
+    check("multihop_out_of_band_mark", multihop(d));
+}
+
+#[test]
+fn supervised_faulty_single_link_report_is_byte_identical() {
+    // Audit and event budget switch on lenient scheduling; control loss,
+    // an outage and the verdict timeout exercise the fault plan and the
+    // host's timeout path.
+    let d = Design::endpoint(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, 0.01);
+    let r = Scenario::basic()
+        .design(d)
+        .tau(0.1)
+        .horizon_secs(30.0)
+        .warmup_secs(5.0)
+        .seed(17)
+        .audited()
+        .event_budget(50_000_000)
+        .verdict_timeout(2.0)
+        .control_loss(0.05)
+        .flap(12.0, 14.0)
+        .run()
+        .expect("supervised single-link cell");
+    check(
+        "supervised_faulty_single_link",
+        serde_json::to_string_pretty(&r).unwrap(),
+    );
+}
